@@ -1,15 +1,15 @@
 //! Fill-reducing orderings for symmetric sparse factorization.
 //!
 //! The paper's compiler permutes the KKT matrix with AMD [2] before
-//! factorization. We implement a minimum-degree ordering on a quotient
-//! graph with element absorption ([`Ordering::MinDegree`], an
-//! Amestoy–Davis–Duff-style algorithm with exact external degrees — see
-//! DESIGN.md §1 for why this substitution preserves behaviour), plus reverse
-//! Cuthill–McKee ([`Ordering::Rcm`]) and the identity ordering
-//! ([`Ordering::Natural`]) as baselines for the ordering ablation bench.
+//! factorization. We implement exact minimum degree on the explicit
+//! elimination graph ([`Ordering::MinDegree`]: the rule AMD approximates,
+//! with a `(degree, index)` tie-break — see DESIGN.md §1 for why this
+//! substitution preserves behaviour), plus reverse Cuthill–McKee
+//! ([`Ordering::Rcm`]) and the identity ordering ([`Ordering::Natural`]) as
+//! baselines for the ordering ablation bench.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::{CscMatrix, Permutation, Result, SparseError};
 
@@ -20,7 +20,7 @@ pub enum Ordering {
     Natural,
     /// Reverse Cuthill–McKee: bandwidth-reducing BFS ordering.
     Rcm,
-    /// Minimum degree with element absorption (AMD-style).
+    /// Exact minimum degree, ties broken by the lower index.
     #[default]
     MinDegree,
 }
@@ -74,18 +74,20 @@ fn rcm(a: &CscMatrix) -> Permutation {
     // stand-in for a pseudo-peripheral vertex).
     let mut starts: Vec<usize> = (0..n).collect();
     starts.sort_unstable_by_key(|&v| degree[v]);
+    let mut queue = VecDeque::with_capacity(n);
+    let mut nbrs = Vec::new();
     for &start in &starts {
         if visited[start] {
             continue;
         }
         visited[start] = true;
-        let mut queue = std::collections::VecDeque::new();
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
             order.push(v);
-            let mut nbrs: Vec<usize> = adj[v].iter().copied().filter(|&u| !visited[u]).collect();
+            nbrs.clear();
+            nbrs.extend(adj[v].iter().copied().filter(|&u| !visited[u]));
             nbrs.sort_unstable_by_key(|&u| degree[u]);
-            for u in nbrs {
+            for &u in &nbrs {
                 visited[u] = true;
                 queue.push_back(u);
             }
@@ -95,122 +97,51 @@ fn rcm(a: &CscMatrix) -> Permutation {
     Permutation::from_vec(order).expect("bfs visits every vertex exactly once")
 }
 
-/// Minimum-degree ordering on a quotient graph with element absorption.
+/// Exact minimum-degree ordering on the explicit elimination graph.
 ///
-/// Eliminated vertices become *elements* (reusing their index); the
-/// adjacency of a live variable is the union of its remaining variable
-/// neighbours and the members of its adjacent elements. Degrees are exact
-/// external degrees recomputed with a marker sweep after each elimination —
-/// the accuracy of classical MMD with the data structures of AMD.
+/// Each live vertex keeps its adjacency list in the current elimination
+/// graph, so its degree is the list length. The live vertex with the
+/// smallest `(degree, index)` is eliminated next (stale heap entries are
+/// skipped lazily); its neighbourhood `Lv` then becomes a clique: every
+/// `u ∈ Lv` drops `v` and gains the members of `Lv` it lacks. The graph
+/// is always a subgraph of the filled graph, so the lists together never
+/// hold more than twice the below-diagonal nonzeros of `L`.
 fn min_degree(a: &CscMatrix) -> Permutation {
     let n = a.ncols();
-    let mut var_adj = adjacency(a);
-    // elem_adj[u]: element ids adjacent to variable u.
-    let mut elem_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // elements[e]: member variables of element e (meaningful once eliminated).
-    let mut elements: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut adj = adjacency(a);
     let mut eliminated = vec![false; n];
-    let mut absorbed = vec![false; n];
-    let mut degree: Vec<usize> = var_adj.iter().map(Vec::len).collect();
-    // Marker array with version tags for set unions.
-    let mut mark = vec![usize::MAX; n];
+    let mut mark = vec![0usize; n];
     let mut stamp = 0usize;
-
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|v| Reverse((degree[v], v))).collect();
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = adj
+        .iter()
+        .enumerate()
+        .map(|(v, list)| Reverse((list.len(), v)))
+        .collect();
     let mut order = Vec::with_capacity(n);
 
-    // Computes the current external degree of `u` with a marker sweep.
-    let external_degree = |u: usize,
-                           var_adj: &[Vec<usize>],
-                           elem_adj: &[Vec<usize>],
-                           elements: &[Vec<usize>],
-                           eliminated: &[bool],
-                           absorbed: &[bool],
-                           mark: &mut [usize],
-                           stamp: usize|
-     -> usize {
-        let mut d = 0usize;
-        mark[u] = stamp;
-        for &w in &var_adj[u] {
-            if !eliminated[w] && mark[w] != stamp {
-                mark[w] = stamp;
-                d += 1;
-            }
-        }
-        for &e in &elem_adj[u] {
-            if absorbed[e] {
-                continue;
-            }
-            for &w in &elements[e] {
-                if !eliminated[w] && mark[w] != stamp {
-                    mark[w] = stamp;
-                    d += 1;
-                }
-            }
-        }
-        d
-    };
-
     while let Some(Reverse((d, v))) = heap.pop() {
-        if eliminated[v] || d != degree[v] {
+        if eliminated[v] || d != adj[v].len() {
             continue; // stale heap entry
         }
         eliminated[v] = true;
         order.push(v);
-
-        // Gather Lv: the live neighbourhood of v (variables reachable via
-        // variable edges or elements of v).
-        stamp += 1;
-        mark[v] = stamp;
-        let mut lv: Vec<usize> = Vec::new();
-        for &u in &var_adj[v] {
-            if !eliminated[u] && mark[u] != stamp {
-                mark[u] = stamp;
-                lv.push(u);
-            }
-        }
-        for &e in &elem_adj[v] {
-            if absorbed[e] {
-                continue;
-            }
-            for &u in &elements[e] {
-                if !eliminated[u] && mark[u] != stamp {
-                    mark[u] = stamp;
-                    lv.push(u);
+        let lv = std::mem::take(&mut adj[v]);
+        for &u in &lv {
+            // Mark u's neighbours, dropping v in the same pass.
+            stamp += 1;
+            mark[u] = stamp;
+            let list = &mut adj[u];
+            let mut k = 0;
+            while k < list.len() {
+                if list[k] == v {
+                    list.swap_remove(k);
+                } else {
+                    mark[list[k]] = stamp;
+                    k += 1;
                 }
             }
-            absorbed[e] = true; // e is absorbed by the new element v
-        }
-
-        // v becomes an element with members Lv.
-        elements[v].clone_from(&lv);
-        let lv_stamp = stamp;
-
-        // First pass: prune adjacency lists while the Lv markers are valid
-        // (the degree sweeps below reuse the marker array).
-        for &u in &lv {
-            // Drop eliminated vertices and vertices now covered by element v
-            // (members of Lv).
-            var_adj[u].retain(|&w| !eliminated[w] && mark[w] != lv_stamp);
-            // Prune absorbed elements; add element v.
-            elem_adj[u].retain(|&e| !absorbed[e]);
-            elem_adj[u].push(v);
-        }
-        // Second pass: exact external degree updates.
-        for &u in &lv {
-            stamp += 1;
-            degree[u] = external_degree(
-                u,
-                &var_adj,
-                &elem_adj,
-                &elements,
-                &eliminated,
-                &absorbed,
-                &mut mark,
-                stamp,
-            );
-            heap.push(Reverse((degree[u], u)));
+            list.extend(lv.iter().filter(|&&w| mark[w] != stamp));
+            heap.push(Reverse((list.len(), u)));
         }
     }
     Permutation::from_vec(order).expect("every vertex eliminated exactly once")

@@ -50,6 +50,73 @@ fn spd_upper(max_n: usize) -> impl Strategy<Value = CscMatrix> {
     })
 }
 
+/// Strategy: a random symmetric pattern (upper triangle, unit values) on
+/// at most `max_n` vertices, mixing the shapes that stress an ordering:
+/// dense rows, missing diagonal entries, up to three disconnected
+/// components and, one case in eight, the diagonal-only matrix.
+fn symmetric_pattern(max_n: usize) -> impl Strategy<Value = CscMatrix> {
+    (1..max_n + 1, 1usize..4, 0usize..8).prop_flat_map(|(n, parts, mode)| {
+        (
+            proptest::collection::vec((0..n, 0..n), 0..3 * n),
+            proptest::collection::vec(0..n, 0..3),
+            proptest::collection::vec(0u8..4, n..n + 1),
+        )
+            .prop_map(move |(edges, dense_rows, diag)| {
+                let diagonal_only = mode == 0;
+                let component = |v: usize| v * parts / n;
+                let mut rows = Vec::new();
+                let mut cols = Vec::new();
+                for (v, &d) in diag.iter().enumerate() {
+                    if d != 0 || diagonal_only {
+                        rows.push(v);
+                        cols.push(v);
+                    }
+                }
+                let dense = dense_rows.iter().flat_map(|&h| (0..n).map(move |w| (h, w)));
+                for (a, b) in edges.into_iter().chain(dense) {
+                    if !diagonal_only && a != b && component(a) == component(b) {
+                        rows.push(a.min(b));
+                        cols.push(a.max(b));
+                    }
+                }
+                let vals = vec![1.0; rows.len()];
+                CscMatrix::from_triplet_parts(n, n, &rows, &cols, &vals).unwrap()
+            })
+    })
+}
+
+/// Reference minimum-degree ordering on a dense elimination graph: repeatedly
+/// eliminate the live vertex with the smallest `(degree, index)` and turn its
+/// live neighbourhood into a clique.
+fn dense_min_degree(a: &CscMatrix) -> Vec<usize> {
+    let n = a.ncols();
+    let mut g = vec![vec![false; n]; n];
+    for (i, j, _) in a.iter() {
+        if i != j {
+            g[i][j] = true;
+            g[j][i] = true;
+        }
+    }
+    let mut live = vec![true; n];
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let degree = |u: usize| (0..n).filter(|&w| live[w] && g[u][w]).count();
+        let v = (0..n)
+            .filter(|&u| live[u])
+            .min_by_key(|&u| (degree(u), u))
+            .unwrap();
+        live[v] = false;
+        order.push(v);
+        let nbrs: Vec<usize> = (0..n).filter(|&u| live[u] && g[v][u]).collect();
+        for &x in &nbrs {
+            for &y in &nbrs {
+                g[x][y] = x != y;
+            }
+        }
+    }
+    order
+}
+
 fn dense_mul(m: &CscMatrix, x: &[f64]) -> Vec<f64> {
     let d = m.to_dense();
     (0..m.nrows())
@@ -199,5 +266,18 @@ proptest! {
         for ((v, &lo), &hi) in p.iter().zip(&l).zip(&u) {
             prop_assert!(*v >= lo && *v <= hi);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The minimum-degree ordering equals the dense elimination-graph
+    /// reference exactly, ties included.
+    #[test]
+    fn min_degree_matches_dense_elimination_graph(a in symmetric_pattern(60)) {
+        let p = mib::sparse::order::compute(&a, Ordering::MinDegree).unwrap();
+        let want = dense_min_degree(&a);
+        prop_assert_eq!(p.perm(), want.as_slice());
     }
 }
